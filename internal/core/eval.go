@@ -208,7 +208,7 @@ func (e *Eval) AvgNetworkDelay(s Strategy) float64 {
 // ClientResponseTime returns Δ_f(v) for one client.
 func (e *Eval) ClientResponseTime(s Strategy, v int) float64 {
 	loads := e.NodeLoads(s)
-	return s.ExpectedMax(e, v, e.elementCosts(v, loads, e.Alpha))
+	return s.ExpectedMax(e, v, e.elementCosts(nil, v, loads, e.Alpha))
 }
 
 func (e *Eval) avgExpectedMax(s Strategy, alpha float64) float64 {
@@ -217,16 +217,23 @@ func (e *Eval) avgExpectedMax(s Strategy, alpha float64) float64 {
 		loads = e.NodeLoads(s)
 	}
 	sum := 0.0
+	var costs []float64
 	for _, v := range e.Clients {
-		sum += e.ClientWeight(v) * s.ExpectedMax(e, v, e.elementCosts(v, loads, alpha))
+		costs = e.elementCosts(costs, v, loads, alpha)
+		sum += e.ClientWeight(v) * s.ExpectedMax(e, v, costs)
 	}
 	return sum
 }
 
-// elementCosts returns d(v, f(u)) + alpha·load(f(u)) per element.
-func (e *Eval) elementCosts(v int, loads []float64, alpha float64) []float64 {
+// elementCosts returns d(v, f(u)) + alpha·load(f(u)) per element, written
+// into buf when it has the universe's length (so one buffer serves every
+// client of a measure) and into a new slice otherwise.
+func (e *Eval) elementCosts(buf []float64, v int, loads []float64, alpha float64) []float64 {
 	row := e.Topo.RTTRow(v)
-	out := make([]float64, e.F.UniverseSize())
+	out := buf
+	if len(out) != e.F.UniverseSize() {
+		out = make([]float64, e.F.UniverseSize())
+	}
 	for u := range out {
 		w := e.F.Node(u)
 		c := row[w]

@@ -61,3 +61,53 @@ func BenchmarkClosure(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRowClosure times RowClosure at 1k sites: the two units its
+// work budget compares — one dense Dijkstra row and one O(n) scan (a
+// node checked against every other) — a full parallel recompute, and one
+// steady-state edit of a random pair to ±30% of its length, its changed
+// rows recomputed and published.
+func BenchmarkRowClosure(b *testing.B) {
+	const n = 1000
+	rc := NewRowClosure(randSparse(n, 6, 3).Closure(0), true)
+	rc.Set(0, 1, rc.Raw().At(0, 1)*0.5)
+	rc.Close(0)
+	c := make([]float64, n)
+	idx := make([]int32, 0, n)
+	b.Run("row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			denseRow(rc.raw.rows, i%n, c, idx)
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		m := Inf
+		for i := 0; i < b.N; i++ {
+			ci, rj := rc.rows.rows[i%n], rc.raw.rows[(i+1)%n]
+			for p, d := range ci {
+				m = min(m, d+rj[p])
+			}
+		}
+		sinkFloat = m
+	})
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewRowClosure(rc.raw.Clone(), false).Close(0)
+		}
+	})
+	b.Run("edit", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(4))
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			u, v := rng.Intn(n), rng.Intn(n-1)
+			if v >= u {
+				v++
+			}
+			rc.Set(u, v, rc.Raw().At(u, v)*(0.7+0.6*rng.Float64()))
+			_, st := rc.Close(0)
+			rows += st.Rows
+		}
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/edit")
+	})
+}
+
+var sinkFloat float64

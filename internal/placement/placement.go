@@ -9,6 +9,7 @@ package placement
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/gap"
@@ -175,21 +176,52 @@ func searchAnchors(topo *topology.Topology, sys quorum.System, opts Options,
 	return searchAnchorsBounded(topo, sys, opts, nil, build)
 }
 
-// capacityBall returns the n nodes closest to v0 (ordered by increasing
-// distance) whose capacity is at least minCap, per the paper's
-// requirement cap(v) ≥ load_f(u).
+// capacityBall returns the n nodes closest to v0 whose capacity is at
+// least minCap, per the paper's requirement cap(v) ≥ load_f(u), ordered by
+// (distance, index) as Matrix.Ball orders the whole row. A size-n
+// max-heap keeps the n smallest eligible nodes, so an anchor costs
+// O(sites·log n) instead of a full sort of its row.
 func capacityBall(topo *topology.Topology, v0, n int, minCap float64) ([]int, error) {
-	ball := topo.Ball(v0, topo.Size())
-	out := make([]int, 0, n)
-	for _, w := range ball {
-		if topo.Capacity(w) >= minCap-1e-12 {
-			out = append(out, w)
-			if len(out) == n {
-				return out, nil
+	row := topo.RTTRow(v0)
+	less := func(a, b int) bool { return row[a] < row[b] || (row[a] == row[b] && a < b) }
+	h := make([]int, 0, n)
+	for w := range row {
+		if topo.Capacity(w) < minCap-1e-12 {
+			continue
+		}
+		if len(h) < n {
+			h = append(h, w)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !less(h[p], h[i]) {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+		} else if n > 0 && less(w, h[0]) {
+			h[0] = w
+			for i := 0; ; {
+				m := i
+				if l := 2*i + 1; l < n && less(h[m], h[l]) {
+					m = l
+				}
+				if r := 2*i + 2; r < n && less(h[m], h[r]) {
+					m = r
+				}
+				if m == i {
+					break
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
 			}
 		}
 	}
-	return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(out), n, minCap)
+	if len(h) < n {
+		return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(h), n, minCap)
+	}
+	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
+	return h, nil
 }
 
 // ManyToOneConfig parameterizes the §4.1.2 almost-capacity-respecting

@@ -3,7 +3,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/par"
@@ -335,51 +334,16 @@ func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Opti
 }
 
 // ballShell returns the distances from v0 to the members of
-// capacityBall(topo, v0, n, minCap) in increasing order, in O(sites·log n)
-// and without materializing the sorted ball: a size-n max-heap keeps the n
-// smallest eligible distances.
+// capacityBall(topo, v0, n, minCap), in increasing order.
 func ballShell(topo *topology.Topology, v0, n int, minCap float64) ([]float64, error) {
-	if n <= 0 {
-		return nil, nil
+	nodes, err := capacityBall(topo, v0, n, minCap)
+	if err != nil {
+		return nil, err
 	}
 	row := topo.RTTRow(v0)
-	h := make([]float64, 0, n)
-	for w, d := range row {
-		if topo.Capacity(w) < minCap-1e-12 {
-			continue
-		}
-		if len(h) < n {
-			h = append(h, d)
-			for i := len(h) - 1; i > 0; {
-				p := (i - 1) / 2
-				if h[p] >= h[i] {
-					break
-				}
-				h[p], h[i] = h[i], h[p]
-				i = p
-			}
-		} else if d < h[0] {
-			h[0] = d
-			i := 0
-			for {
-				m := i
-				if l := 2*i + 1; l < n && h[l] > h[m] {
-					m = l
-				}
-				if r := 2*i + 2; r < n && h[r] > h[m] {
-					m = r
-				}
-				if m == i {
-					break
-				}
-				h[i], h[m] = h[m], h[i]
-				i = m
-			}
-		}
+	shell := make([]float64, len(nodes))
+	for i, w := range nodes {
+		shell[i] = row[w]
 	}
-	if len(h) < n {
-		return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(h), n, minCap)
-	}
-	sort.Float64s(h)
-	return h, nil
+	return shell, nil
 }

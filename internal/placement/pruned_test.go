@@ -1,10 +1,13 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/graph"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -179,6 +182,59 @@ func TestBallShellMatchesCapacityBall(t *testing.T) {
 			for j, w := range ball {
 				if shell[j] != tp.RTT(v0, w) {
 					t.Fatalf("v0=%d n=%d rank %d: shell %v, ball member at %v", v0, n, j, shell[j], tp.RTT(v0, w))
+				}
+			}
+		}
+	}
+}
+
+// TestCapacityBallMatchesFullSort pins the heap-selected ball to the
+// order it replaced — the whole row sorted by (distance, index) through
+// Matrix.Ball, filtered by capacity — on the seed topologies and on a
+// line metric where every anchor sees distance ties.
+func TestCapacityBallMatchesFullSort(t *testing.T) {
+	const n = 40
+	line := graph.NewMatrix(n)
+	sites := make([]topology.Site, n)
+	for i := 0; i < n; i++ {
+		sites[i] = topology.Site{Name: fmt.Sprintf("s%d", i)}
+		for j := i + 1; j < n; j++ {
+			line.Set(i, j, float64(j-i))
+		}
+	}
+	lineTopo, err := topology.NewMetric("line", sites, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, topo := range append(prunedTopos(t), lineTopo) {
+		tp := topo.Clone()
+		for i := 0; i < tp.Size(); i++ {
+			if err := tp.SetCapacity(i, 0.05+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const minCap = 0.5
+		for v0 := 0; v0 < tp.Size(); v0++ {
+			var want []int
+			for _, w := range tp.Distances().Ball(v0, tp.Size()) {
+				if tp.Capacity(w) >= minCap-1e-12 {
+					want = append(want, w)
+				}
+			}
+			for _, k := range []int{1, 5, 15, len(want), len(want) + 1} {
+				got, err := capacityBall(tp, v0, k, minCap)
+				if k > len(want) {
+					if err == nil {
+						t.Fatalf("%s v0=%d: ball of %d from %d eligible sites succeeded", tp.Name(), v0, k, len(want))
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want[:k]) {
+					t.Fatalf("%s v0=%d k=%d: heap ball %v, sorted ball %v", tp.Name(), v0, k, got, want[:k])
 				}
 			}
 		}

@@ -1,17 +1,21 @@
-package plan
+package plan_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"github.com/quorumnet/quorumnet/internal/deploy"
+	"github.com/quorumnet/quorumnet/internal/plan"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
 // benchConfig is the §7 workhorse: a 5×5 Grid on PlanetLab-50 with
 // LP-optimized strategies at high demand.
-func benchConfig() Config {
-	return Config{
-		System:   SystemSpec{Family: "grid", Param: 5},
-		Strategy: StratLP,
+func benchConfig() plan.Config {
+	return plan.Config{
+		System:   plan.SystemSpec{Family: "grid", Param: 5},
+		Strategy: plan.StratLP,
 		Demand:   16000,
 	}
 }
@@ -24,7 +28,7 @@ func BenchmarkColdPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := New(topo, benchConfig())
+		p, err := plan.New(topo, benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +44,7 @@ func BenchmarkColdPlan(b *testing.B) {
 // the gap is orders of magnitude).
 func BenchmarkReplanDemandDelta(b *testing.B) {
 	topo := topology.PlanetLab50(topology.DefaultSeed)
-	p, err := New(topo, benchConfig())
+	p, err := plan.New(topo, benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func BenchmarkReplanDemandDelta(b *testing.B) {
 // optimal basis.
 func BenchmarkReplanCapacityDelta(b *testing.B) {
 	topo := topology.PlanetLab50(topology.DefaultSeed)
-	p, err := New(topo, benchConfig())
+	p, err := plan.New(topo, benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestReplanDemandDeltaSpeedup(t *testing.T) {
 
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := New(topo, benchConfig())
+			p, err := plan.New(topo, benchConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,7 +112,7 @@ func TestReplanDemandDeltaSpeedup(t *testing.T) {
 		}
 	})
 
-	p, err := New(topo, benchConfig())
+	p, err := plan.New(topo, benchConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +140,108 @@ func TestReplanDemandDeltaSpeedup(t *testing.T) {
 	t.Logf("cold plan %.2fms, demand-delta re-plan %.4fms: %.0fx", coldNs/1e6, warmNs/1e6, ratio)
 	if ratio < 5 {
 		t.Fatalf("incremental demand-delta re-plan only %.1fx faster than cold plan, want >= 5x", ratio)
+	}
+}
+
+// rttSites are the AS-graph sizes the rtt-delta benches run at: the
+// benchmark's probe-rtt scale and the 1k-site point ROADMAP measured.
+var rttSites = []int{150, 1000}
+
+// rttDeployment builds what cmd/quorumd serves for one tenant on an
+// AS graph of n sites: a majority(3,5) planner with the closest strategy
+// behind a deploy.Manager at quorumd's default move cost.
+func rttDeployment(tb testing.TB, topo *topology.Topology) (*plan.Planner, *deploy.Manager) {
+	tb.Helper()
+	p, err := plan.New(topo, plan.Config{
+		System:   plan.SystemSpec{Family: "majority", Param: 2},
+		Strategy: plan.StratClosest,
+		Demand:   8000,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := deploy.New(p, deploy.Config{MoveCost: 5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, m
+}
+
+func asTopology(tb testing.TB, n int) *topology.Topology {
+	tb.Helper()
+	topo, err := topology.Generate(topology.GenConfig{
+		Name: fmt.Sprintf("as%d", n),
+		AS:   &topology.ASGraphSpec{Sites: n},
+	}, topology.DefaultSeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
+}
+
+// rttBatch is one probe-mesh-shaped batch: one agent site reports 1–4 of
+// its pairs, each at ±30% of the pair's current RTT.
+func rttBatch(rng *rand.Rand, p *plan.Planner) []deploy.Delta {
+	n := p.Size()
+	a := rng.Intn(n)
+	k := 1 + rng.Intn(4)
+	ds := make([]deploy.Delta, 0, k)
+	for len(ds) < k {
+		b := rng.Intn(n)
+		if b == a {
+			continue
+		}
+		ds = append(ds, deploy.Delta{
+			Kind:  deploy.KindRTT,
+			A:     p.Site(a).Name,
+			B:     p.Site(b).Name,
+			Value: p.RTT(a, b) * (0.7 + 0.6*rng.Float64()),
+		})
+	}
+	return ds
+}
+
+// BenchmarkReplanRTTDelta measures one probe-mesh rtt batch through
+// deploy.Manager.Apply in steady state: a warm-up batch pays the one full
+// closure that follows a metric start, then every timed batch recomputes
+// only the closure rows its edits change and re-runs placement, strategy
+// and evaluation. It reports the closure rows recomputed per edit.
+func BenchmarkReplanRTTDelta(b *testing.B) {
+	for _, n := range rttSites {
+		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
+			topo := asTopology(b, n)
+			p, m := rttDeployment(b, topo)
+			rng := rand.New(rand.NewSource(1))
+			if _, err := m.Apply(rttBatch(rng, p)); err != nil {
+				b.Fatal(err)
+			}
+			rows, edits := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := rttBatch(rng, p)
+				e, err := m.Apply(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += e.Snapshot.Provenance.Closure.Rows
+				edits += len(batch)
+			}
+			b.ReportMetric(float64(rows)/float64(edits), "rows/edit")
+		})
+	}
+}
+
+// BenchmarkColdPlanAS is the cold counterpart of BenchmarkReplanRTTDelta
+// at the same sizes and configuration: plan.New plus deploy.New's first
+// plan on the trusted metric.
+func BenchmarkColdPlanAS(b *testing.B) {
+	for _, n := range rttSites {
+		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
+			topo := asTopology(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rttDeployment(b, topo)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@
 //
 // Invalidation rules (each stage also invalidates everything after it):
 //
-//	SetRTT, AddSite, RemoveSite → topology (matrix re-closed from raw)
+//	SetRTT, AddSite, RemoveSite → topology (changed closure rows recomputed)
 //	SetSystem                   → system
 //	SetSiteCapacity             → placement only if a site crosses the
 //	                              one-to-one eligibility threshold
@@ -21,11 +21,15 @@
 //	SetClientWeights            → strategy (LP skeleton rebuild)
 //	SetDemand                   → evaluation only
 //
-// The Planner keeps the *raw* distance matrix as the source of truth and
-// re-derives the metric closure in the topology stage, so any sequence of
-// deltas followed by Plan is equivalent to a cold plan of the final
-// inputs — a property the package's tests assert for random delta
-// sequences at every worker count.
+// The Planner keeps the *raw* distance matrix as the source of truth. Its
+// metric closure (graph.RowClosure) is maintained, not re-derived: an RTT
+// edit recomputes only the per-source shortest-path rows it changes, and
+// membership changes recompute every row. The rows are the unique
+// fixed point of the raw matrix's Bellman equation, so the maintained
+// closure is bit-equal to a fresh one and any sequence of deltas followed
+// by Plan is equivalent to a cold plan of the final inputs — a property
+// the package's tests assert for random delta sequences at every worker
+// count.
 //
 // Each Plan call publishes an immutable, versioned Snapshot: deep-copied
 // artifacts, the evaluation measures, and a Provenance recording which

@@ -18,20 +18,21 @@ import (
 type Planner struct {
 	cfg Config
 
-	// Mutable inputs. raw is the pre-closure RTT matrix — the source of
-	// truth the topology stage closes into a metric, so edits compose the
-	// same way whether applied incrementally or all at once. rawMetric
-	// records that raw is already a metric (true at New, since a
-	// Topology's matrix is one; SetRTT and AddSite clear it, RemoveSite
-	// preserves it — a principal submatrix of a metric is a metric), in
-	// which case the topology stage skips the O(n³) closure entirely.
-	name      string
-	sites     []topology.Site
-	raw       *graph.Matrix
-	rawMetric bool
-	caps      []float64
-	alpha     float64
-	weights   []float64 // nil = uniform client demand
+	// Mutable inputs. closure owns the pre-closure RTT matrix — the
+	// source of truth — and maintains its metric closure as a pure
+	// function of it: an RTT edit recomputes the shortest-path rows it
+	// changes and keeps the rest, so edits compose the same way whether
+	// applied incrementally or all at once. A closure built over a
+	// trusted metric (at New, since a Topology's matrix is one, and after
+	// RemoveSite from one — a principal submatrix of a metric is a
+	// metric) publishes raw as is until the first SetRTT; AddSite and
+	// RemoveSite after edits start a full recompute.
+	name    string
+	sites   []topology.Site
+	closure *graph.RowClosure
+	caps    []float64
+	alpha   float64
+	weights []float64 // nil = uniform client demand
 
 	// pin forces the placement stage to these element→site targets
 	// instead of running the construction algorithm (nil = construct).
@@ -92,13 +93,13 @@ func New(topo *topology.Topology, cfg Config) (*Planner, error) {
 		sites[i] = topo.Site(i)
 	}
 	p := &Planner{
-		cfg:       cfg,
-		name:      topo.Name(),
-		sites:     sites,
-		raw:       topo.Distances().Clone(),
-		rawMetric: true, // a Topology's matrix is a metric by construction
-		caps:      topo.Capacities(),
-		alpha:     core.AlphaForDemand(cfg.Demand),
+		cfg:   cfg,
+		name:  topo.Name(),
+		sites: sites,
+		// A Topology's matrix is a metric by construction.
+		closure: graph.NewRowClosure(topo.Distances().Clone(), true),
+		caps:    topo.Capacities(),
+		alpha:   core.AlphaForDemand(cfg.Demand),
 	}
 	for s := Stage(0); s < numStages; s++ {
 		p.dirty[s] = true
@@ -125,7 +126,7 @@ func (p *Planner) SiteIndex(name string) int {
 // RTT returns the current raw (pre-closure) round-trip time between two
 // sites. The planned topology's metric may be lower where the closure
 // found a shorter path.
-func (p *Planner) RTT(u, v int) float64 { return p.raw.At(u, v) }
+func (p *Planner) RTT(u, v int) float64 { return p.closure.Raw().At(u, v) }
 
 // Capacity returns site v's capacity.
 func (p *Planner) Capacity(v int) float64 { return p.caps[v] }
@@ -134,8 +135,9 @@ func (p *Planner) Capacity(v int) float64 { return p.caps[v] }
 func (p *Planner) Demand() float64 { return p.alpha / core.OpServiceTimeMS }
 
 // SetRTT updates the raw round-trip time between two sites (both
-// directions). The topology stage re-closes the metric on the next Plan,
-// so other pairs may ride through the edited link if that is shorter.
+// directions) and marks the closure rows the edit changes; the topology
+// stage recomputes them and publishes the closure on the next Plan, so
+// other pairs may ride through the edited link if that is shorter.
 func (p *Planner) SetRTT(u, v int, ms float64) error {
 	if err := p.checkSite(u); err != nil {
 		return err
@@ -149,11 +151,10 @@ func (p *Planner) SetRTT(u, v int, ms float64) error {
 	if ms <= 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
 		return fmt.Errorf("plan: invalid RTT %v for sites (%d,%d)", ms, u, v)
 	}
-	if p.raw.At(u, v) == ms {
+	if p.closure.Raw().At(u, v) == ms {
 		return nil
 	}
-	p.raw.Set(u, v, ms)
-	p.rawMetric = false // the edit may break the triangle inequality
+	p.closure.Set(u, v, ms)
 	p.note("rtt %s~%s=%.3gms", p.sites[u].Name, p.sites[v].Name, ms)
 	p.invalidateTopology()
 	return nil
@@ -328,15 +329,15 @@ func (p *Planner) AddSite(site topology.Site, rtts []float64, capacity float64) 
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		return fmt.Errorf("plan: invalid capacity %v", capacity)
 	}
+	old := p.closure.Raw()
 	raw := graph.NewMatrix(n + 1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			raw.Set(i, j, p.raw.At(i, j))
+			raw.Set(i, j, old.At(i, j))
 		}
 		raw.Set(i, n, rtts[i])
 	}
-	p.raw = raw
-	p.rawMetric = false // the new row's RTTs are arbitrary
+	p.closure = graph.NewRowClosure(raw, false) // the new row's RTTs are arbitrary
 	p.sites = append(p.sites, site)
 	p.caps = append(p.caps, capacity)
 	p.weights = nil
@@ -361,6 +362,7 @@ func (p *Planner) RemoveSite(name string) error {
 	if n <= 2 {
 		return fmt.Errorf("plan: cannot remove %q: only %d sites left", name, n)
 	}
+	old := p.closure.Raw()
 	raw := graph.NewMatrix(n - 1)
 	for i, oi := 0, 0; oi < n; oi++ {
 		if oi == v {
@@ -371,13 +373,13 @@ func (p *Planner) RemoveSite(name string) error {
 				continue
 			}
 			if j > i {
-				raw.Set(i, j, p.raw.At(oi, oj))
+				raw.Set(i, j, old.At(oi, oj))
 			}
 			j++
 		}
 		i++
 	}
-	p.raw = raw
+	p.closure = graph.NewRowClosure(raw, p.closure.Metric())
 	p.sites = append(p.sites[:v:v], p.sites[v+1:]...)
 	p.caps = append(p.caps[:v:v], p.caps[v+1:]...)
 	p.weights = nil
@@ -504,15 +506,15 @@ func (p *Planner) invalidateEval() { p.dirty[StageEval] = true }
 // concurrent readers while the planner keeps absorbing deltas.
 func (p *Planner) Plan() (*Snapshot, error) {
 	var recomputed []Stage
+	var closure graph.CloseStats
 
 	if p.dirty[StageTopology] {
-		closed := p.raw.Clone()
-		if !p.rawMetric {
-			closed.MetricClosure()
-		}
-		// Either branch delivers a metric (raw was one, or the closure just
-		// made it one), so the O(n³) IsMetric re-verification of
-		// topology.New is skipped too.
+		// The closure is a metric (raw was one, or the rows close it), so
+		// the O(n³) IsMetric re-verification of topology.New is skipped
+		// too. Published matrices are never mutated, so the topology and
+		// its snapshot clones can share this one.
+		closed, st := p.closure.Close(p.cfg.Workers)
+		closure = st
 		topo, err := topology.NewMetric(p.name, p.sites, closed)
 		if err != nil {
 			return nil, fmt.Errorf("plan: topology stage: %w", err)
@@ -600,6 +602,7 @@ func (p *Planner) Plan() (*Snapshot, error) {
 			Recomputed: recomputed,
 			Deltas:     deltas,
 			Pinned:     p.pin != nil,
+			Closure:    closure,
 		},
 	}
 	if len(snap.Weights) == 0 {

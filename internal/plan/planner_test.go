@@ -374,10 +374,13 @@ func TestMetricRawSkipsReclosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.rawMetric {
+	if !p.closure.Metric() {
 		t.Fatal("planner seeded from a Topology should trust its metric")
 	}
 	snap := mustPlan(t, p)
+	if !snap.Provenance.Closure.Skipped {
+		t.Fatalf("closure %v on a trusted metric, want skipped", snap.Provenance.Closure)
+	}
 	for u := 0; u < topo.Size(); u++ {
 		for v := 0; v < topo.Size(); v++ {
 			if got, want := snap.Topology.RTT(u, v), topo.RTT(u, v); got != want {
@@ -390,10 +393,13 @@ func TestMetricRawSkipsReclosure(t *testing.T) {
 	if err := p.SetRTT(0, topo.Size()-1, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	if p.rawMetric {
+	if p.closure.Metric() {
 		t.Fatal("SetRTT must clear the trusted-metric flag")
 	}
 	snap2 := mustPlan(t, p)
+	if !snap2.Provenance.Closure.Full {
+		t.Fatalf("closure %v after the first edit from a metric, want full", snap2.Provenance.Closure)
+	}
 	if !snap2.Topology.Distances().IsMetric(1e-6) {
 		t.Fatal("re-closed topology is not a metric")
 	}
@@ -633,5 +639,55 @@ func TestProvenanceHygiene(t *testing.T) {
 	}
 	if ds[64] != "… (+6 more)" {
 		t.Fatalf("overflow marker %q, want \"… (+6 more)\"", ds[64])
+	}
+}
+
+// TestRTTDeltaRepairsFewRows guards the incremental closure
+// structurally: after the one full closure that follows a metric start,
+// probe-mesh-shaped rtt batches (1–4 pairs at ±30%) on a 150-site AS
+// graph must recompute fewer than n/4 closure rows each, not re-close the
+// whole matrix.
+func TestRTTDeltaRepairsFewRows(t *testing.T) {
+	topo, err := topology.Generate(topology.GenConfig{
+		Name: "as150",
+		AS:   &topology.ASGraphSpec{Sites: 150},
+	}, topology.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(topo, Config{System: SystemSpec{Family: "majority", Param: 2}, Strategy: StratClosest, Demand: 8000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, p)
+	rng := rand.New(rand.NewSource(5))
+	n := p.Size()
+	for batch := 0; batch < 12; batch++ {
+		a := rng.Intn(n)
+		for k := 1 + rng.Intn(4); k > 0; {
+			b := rng.Intn(n)
+			if b == a {
+				continue
+			}
+			if err := p.SetRTT(a, b, p.RTT(a, b)*(0.7+0.6*rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+			k--
+		}
+		snap := mustPlan(t, p)
+		got := snap.Provenance.Closure
+		if batch == 0 {
+			if !got.Full {
+				t.Fatalf("first rtt batch from a metric start: closure %v, want full", got)
+			}
+			continue
+		}
+		if got.Full || got.Skipped || got.N != n {
+			t.Fatalf("batch %d: closure %v, want rows of %d sites recomputed", batch, got, n)
+		}
+		t.Logf("batch %d: %v", batch, got)
+		if got.Rows >= n/4 {
+			t.Fatalf("batch %d recomputed %d of %d closure rows, want fewer than n/4", batch, got.Rows, n)
+		}
 	}
 }

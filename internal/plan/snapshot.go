@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/graph"
 	"github.com/quorumnet/quorumnet/internal/quorum"
 	"github.com/quorumnet/quorumnet/internal/strategy"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -66,6 +67,12 @@ type Provenance struct {
 	// targets rather than run its construction algorithm (see
 	// Planner.PinPlacement) — the deployment layer's hysteresis hold.
 	Pinned bool
+	// Closure reports what the topology stage's metric closure did:
+	// skipped (the raw matrix is a trusted, unedited metric), full (every
+	// row recomputed) or k of n rows recomputed; the zero value when the
+	// topology stage did not run. It is diagnostic only: the serving
+	// layer and journals do not carry it.
+	Closure graph.CloseStats
 }
 
 // Cold reports a from-scratch plan: every stage ran.

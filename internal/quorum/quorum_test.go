@@ -3,6 +3,7 @@ package quorum
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -493,4 +494,49 @@ func TestUniformTouchProbabilityEdges(t *testing.T) {
 	if a != c {
 		t.Errorf("out-of-range ids changed result: %v vs %v", a, c)
 	}
+}
+
+// TestThresholdStackSortBitExact pins the allocation-free sort of
+// Threshold.ExpectedMaxUniform: bit-equal to the order-statistics sum over
+// a copy sorted through sort.Interface, on cost vectors full of ties, at
+// universes on both sides of its 32-element stack buffer, and free of
+// allocations on a small universe.
+func TestThresholdStackSortBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 40; n++ {
+		s, err := NewThreshold(n/2+1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			cost := make([]float64, n)
+			for i := range cost {
+				cost[i] = float64(rng.Intn(6)) * (1 + rng.Float64()*float64(trial%2))
+			}
+			desc := sortedDesc(cost)
+			p := float64(s.q) / float64(n)
+			want := 0.0
+			for i := 1; i <= n-s.q+1; i++ {
+				want += p * desc[i-1]
+				p *= float64(n-i-s.q+1) / float64(n-i)
+			}
+			if got := s.ExpectedMaxUniform(cost); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: ExpectedMaxUniform(%v) = %v, heap-sorted sum %v", s.Name(), cost, got, want)
+			}
+		}
+	}
+	s, _ := SimpleMajority(2)
+	cost := []float64{3, 1, 4, 1, 5}
+	if allocs := testing.AllocsPerRun(100, func() { s.ExpectedMaxUniform(cost) }); allocs != 0 {
+		t.Fatalf("ExpectedMaxUniform on a 5-element universe allocates %v times", allocs)
+	}
+}
+
+// sortedDesc returns a copy of cost sorted in decreasing order through
+// sort.Interface: the reference order for ExpectedMaxUniform's stack sort.
+func sortedDesc(cost []float64) []float64 {
+	desc := make([]float64, len(cost))
+	copy(desc, cost)
+	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	return desc
 }

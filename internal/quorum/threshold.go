@@ -3,7 +3,7 @@ package quorum
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Threshold is the threshold (a.k.a. Majority or voting) quorum system:
@@ -114,17 +114,22 @@ func (s Threshold) UniformElementLoad() float64 { return float64(s.q) / float64(
 //	P(i+1) = P(i) · (n−i−q+1)/(n−i)
 //
 // which avoids forming the (astronomical) binomials.
+//
+// Placement scoring calls this tens of thousands of times per anchor
+// search with small universes, so the costs are sorted in a stack buffer
+// (slices.Sort, no sort.Interface) and summed from its largest end: the
+// same sorted values, summed in the same order, without an allocation.
 func (s Threshold) ExpectedMaxUniform(cost []float64) float64 {
 	s.checkCost(cost)
-	desc := make([]float64, len(cost))
-	copy(desc, cost)
-	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	var buf [32]float64
+	asc := append(buf[:0], cost...)
+	slices.Sort(asc)
 
 	n, q := s.n, s.q
 	p := float64(q) / float64(n)
 	expect := 0.0
 	for i := 1; i <= n-q+1; i++ {
-		expect += p * desc[i-1]
+		expect += p * asc[n-i]
 		p *= float64(n-i-q+1) / float64(n-i)
 	}
 	return expect

@@ -154,10 +154,6 @@ func (t *Topology) Clone() *Topology {
 // that average. This is the singleton placement target.
 func (t *Topology) Median() (site int, avgRTT float64) { return t.dist.Median() }
 
-// Ball returns the k sites closest to center, including center, ordered by
-// distance.
-func (t *Topology) Ball(center, k int) []int { return t.dist.Ball(center, k) }
-
 // AvgRTT returns the mean off-diagonal RTT, a summary statistic used in
 // reports.
 func (t *Topology) AvgRTT() float64 {
